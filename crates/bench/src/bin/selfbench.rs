@@ -10,8 +10,9 @@
 //! noisy rep can't fake a regression. `scripts/bench.sh` runs the full
 //! matrix and `scripts/ci.sh` runs `--smoke` (fails on a >25%
 //! wall-clock regression against the committed `BENCH_selfbench.json`
-//! baseline) and `--scale-smoke` (one 256-rank checkpoint cell against
-//! a generous absolute budget, guarding the indexed executor's
+//! baseline) and `--scale-smoke` (the 16- and 256-rank rank-sweep
+//! cells: the 256-rank one against a generous absolute budget, and its
+//! host µs per ordered op against the 16-rank one's, guarding
 //! high-rank-count scaling).
 //!
 //! Matrix: three backends (hdf4-serial, mpiio-optimized, hdf5-parallel)
@@ -47,6 +48,15 @@ const REPS: usize = 3;
 /// return to O(nranks) scans or broadcast wakeup storms), not to police
 /// noise.
 const SCALE_SMOKE_BUDGET_MS: f64 = 20_000.0;
+
+/// Repetitions per `--scale-smoke` cell; the median is gated.
+const SCALE_SMOKE_REPS: usize = 5;
+
+/// Ceiling on host µs per ordered op at 256 ranks over the same at 16
+/// ranks. Flat per-op cost gives 1.0; the move-only `alltoallv` with
+/// allocation-free empty payloads measured ~1.7, the clone-filled P×P
+/// matrix it replaced ~2.6.
+const SCALE_SMOKE_MAX_RATIO: f64 = 2.2;
 
 struct CellResult {
     backend: &'static str,
@@ -88,13 +98,14 @@ fn run_cell(
     nranks: usize,
     strict: bool,
     smoke: bool,
+    reps: usize,
 ) -> CellResult {
     let platform = Platform::ibm_sp2(nranks);
     let cfg = default_cfg(ProblemSize::Custom(root_n), nranks);
     let strategy = strategy_for(backend);
-    let mut walls = Vec::with_capacity(REPS);
+    let mut walls = Vec::with_capacity(reps);
     let mut last: Option<(u64, RunReport)> = None;
-    for _ in 0..REPS {
+    for _ in 0..reps {
         reset_copied_bytes();
         let t0 = Instant::now();
         let mut exp = Experiment::new(&platform, &cfg, &*strategy).cycles(EVOLVE_CYCLES);
@@ -117,7 +128,7 @@ fn run_cell(
         }
         last = Some((copied, report));
     }
-    let (copied, report) = last.expect("REPS >= 1");
+    let (copied, report) = last.expect("reps >= 1");
     let wall_ms_min = walls.iter().copied().fold(f64::INFINITY, f64::min);
     CellResult {
         backend,
@@ -142,7 +153,7 @@ const SWEEP_RANKS: [usize; 5] = [4, 16, 64, 256, 1024];
 fn rank_sweep() -> Vec<CellResult> {
     SWEEP_RANKS
         .iter()
-        .map(|&nranks| run_cell("mpiio-optimized", "small", 16, nranks, false, false))
+        .map(|&nranks| run_cell("mpiio-optimized", "small", 16, nranks, false, false, REPS))
         .collect()
 }
 
@@ -381,22 +392,50 @@ fn crash_summary() -> CrashSummary {
     }
 }
 
-/// `--scale-smoke`: one 256-rank checkpoint cell against an absolute
-/// budget. A scheduler regression that turns grant lookup back into an
-/// O(nranks) scan (or wakeups back into broadcasts) blows the budget
-/// immediately at this rank count; honest noise does not.
+/// Host µs per ordered op: the median wall-clock spread over the
+/// engine's ordered operations, comparable across rank counts.
+fn us_per_op(c: &CellResult) -> f64 {
+    c.wall_ms * 1e3 / c.report.ordered_ops as f64
+}
+
+/// `--scale-smoke`: the rank-sweep row at 16 and 256 ranks. The
+/// 256-rank cell must finish inside an absolute budget (a scheduler
+/// regression back to O(nranks) scans or broadcast wakeups blows it at
+/// once; honest noise does not), and its host µs per ordered op must
+/// stay within [`SCALE_SMOKE_MAX_RATIO`] of the 16-rank cell's, which
+/// catches work that grows with P² per collective.
 fn scale_smoke() {
-    let c = run_cell("mpiio-optimized", "small", 16, 256, false, false);
-    eprint_cell(&c);
+    let [c16, c256] = [16, 256].map(|n| {
+        run_cell(
+            "mpiio-optimized",
+            "small",
+            16,
+            n,
+            false,
+            false,
+            SCALE_SMOKE_REPS,
+        )
+    });
+    for c in [&c16, &c256] {
+        eprint_cell(c);
+    }
+    let (us16, us256) = (us_per_op(&c16), us_per_op(&c256));
+    let ratio = us256 / us16;
     eprintln!(
-        "scale-smoke: 256-rank cell median {:.1} ms (budget {:.0} ms)",
-        c.wall_ms, SCALE_SMOKE_BUDGET_MS
+        "scale-smoke: host us/op {us16:.1} at 16 ranks, {us256:.1} at 256 ranks \
+         (ratio {ratio:.2}, limit {SCALE_SMOKE_MAX_RATIO:.1}); \
+         256-rank cell median {:.1} ms (budget {SCALE_SMOKE_BUDGET_MS:.0} ms)",
+        c256.wall_ms
     );
     assert!(
-        c.wall_ms <= SCALE_SMOKE_BUDGET_MS,
-        "scale smoke failed: 256-rank cell took {:.1} ms, budget {:.0} ms",
-        c.wall_ms,
-        SCALE_SMOKE_BUDGET_MS
+        c256.wall_ms <= SCALE_SMOKE_BUDGET_MS,
+        "scale smoke failed: 256-rank cell took {:.1} ms, budget {SCALE_SMOKE_BUDGET_MS:.0} ms",
+        c256.wall_ms
+    );
+    assert!(
+        ratio <= SCALE_SMOKE_MAX_RATIO,
+        "scale smoke failed: host us/op at 256 ranks is {ratio:.2}x that at 16 ranks, \
+         limit {SCALE_SMOKE_MAX_RATIO:.1}x"
     );
 }
 
@@ -434,7 +473,7 @@ fn main() {
                     if smoke_only && !smoke {
                         continue;
                     }
-                    let c = run_cell(backend, problem, root_n, nranks, strict, smoke);
+                    let c = run_cell(backend, problem, root_n, nranks, strict, smoke, REPS);
                     eprint_cell(&c);
                     cells.push(c);
                 }

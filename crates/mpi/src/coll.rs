@@ -308,6 +308,7 @@ impl<'a> Comm<'a> {
     /// Personalized all-to-all: `data[dst]` goes to rank `dst`; returns a
     /// vec indexed by source rank. Pairwise-exchange rounds: in round k,
     /// rank i sends to (i+k) mod P and receives from (i-k) mod P.
+    /// Payloads are moved, not cloned, from sender to receiver.
     pub fn alltoallv<B: Into<Bytes>>(&self, data: Vec<B>) -> Vec<Bytes> {
         assert_eq!(data.len(), self.size(), "one payload per destination");
         let data: Vec<Bytes> = data.into_iter().map(Into::into).collect();
@@ -320,38 +321,44 @@ impl<'a> Comm<'a> {
         };
         self.rendezvous(desc, data, move |net, inputs| {
             let n = inputs.len();
-            let mut clocks: Vec<SimTime> = inputs.iter().map(|(t, _)| *t).collect();
-            let payloads: Vec<Vec<Bytes>> = inputs.into_iter().map(|(_, d)| d).collect();
+            let (mut clocks, mut payloads): (Vec<SimTime>, Vec<Vec<Bytes>>) =
+                inputs.into_iter().unzip();
             // Everyone starts the exchange together (implicit sync).
             let start = clocks.iter().copied().max().unwrap_or(SimTime::ZERO);
-            for c in clocks.iter_mut() {
-                *c = start;
-            }
-            let mut out: Vec<Vec<Bytes>> = (0..n)
-                .map(|_| (0..n).map(|_| Bytes::new()).collect())
-                .collect();
+            clocks.fill(start);
             // Local hand-offs first.
             for i in 0..n {
-                let bytes = payloads[i][i].len() as u64;
-                clocks[i] += unpack_cost(net, bytes);
-                out[i][i] = payloads[i][i].clone();
+                clocks[i] += unpack_cost(net, payloads[i][i].len() as u64);
             }
+            // Every pair is priced, zero-byte ones included: they still
+            // pay latency and hold adapters on port-limited fabrics.
+            let mut arrivals: Vec<(usize, SimTime, u64)> = Vec::with_capacity(n);
             for k in 1..n {
                 // Pre-compute arrivals for this round, then merge.
-                let mut arrivals: Vec<(usize, SimTime, u64)> = Vec::with_capacity(n);
                 for i in 0..n {
                     let dst = (i + k) % n;
                     let bytes = payloads[i][dst].len() as u64;
                     let x = net.transfer(i, dst, bytes, clocks[i]);
                     clocks[i] = x.sender_free;
                     arrivals.push((dst, x.arrival, bytes));
-                    out[dst][i] = payloads[i][dst].clone();
                 }
-                for (dst, arr, bytes) in arrivals {
+                for (dst, arr, bytes) in arrivals.drain(..) {
                     clocks[dst] = clocks[dst].max(arr) + unpack_cost(net, bytes);
                 }
             }
-            clocks.iter().zip(out).map(|(ct, o)| (*ct, o)).collect()
+            // Move each payload into its destination's row (indexed by
+            // source); the vacated slots are allocation-free empties.
+            clocks
+                .into_iter()
+                .enumerate()
+                .map(|(dst, ct)| {
+                    let row = payloads
+                        .iter_mut()
+                        .map(|from_src| std::mem::take(&mut from_src[dst]))
+                        .collect();
+                    (ct, row)
+                })
+                .collect()
         })
     }
 }
@@ -463,6 +470,47 @@ mod tests {
                 assert_eq!(d, &vec![(src * 16 + dst) as u8; 3], "src {src} dst {dst}");
             }
         }
+    }
+
+    /// Payload rank `src` sends to rank `dst` in the mixed exchange:
+    /// empty for roughly a third of the pairs (the diagonal included for
+    /// every third rank), otherwise a few hundred bytes to tens of KB.
+    fn mixed_payload(src: usize, dst: usize) -> Vec<u8> {
+        if (src * 5 + dst * 3).is_multiple_of(3) {
+            Vec::new()
+        } else {
+            vec![(src * 16 + dst) as u8; 300 + (src * 7919 + dst * 104_729) % 40_000]
+        }
+    }
+
+    /// A 9-rank exchange on a 4-way SMP cluster with a mix of empty and
+    /// non-empty payloads, entered at staggered clocks. The exit clocks
+    /// are pinned bit-for-bit, so any change in which pairs are priced,
+    /// or in what order, shows here.
+    #[test]
+    fn alltoallv_mixed_empty_payloads_pin_data_and_clocks() {
+        let w = World::new(9, NetConfig::smp_cluster(9, 4));
+        let r = w.run(|c| {
+            let me = c.rank();
+            c.compute(amrio_simt::SimDur::from_micros((me as u64 * 53) % 17));
+            let data: Vec<Vec<u8>> = (0..9).map(|dst| mixed_payload(me, dst)).collect();
+            let got = c.alltoallv(data);
+            (c.now(), got)
+        });
+        for (dst, (_, per_src)) in r.results.iter().enumerate() {
+            assert_eq!(per_src.len(), 9);
+            for (src, d) in per_src.iter().enumerate() {
+                assert_eq!(d, &mixed_payload(src, dst), "src {src} dst {dst}");
+            }
+        }
+        let clocks: Vec<u64> = r.results.iter().map(|(t, _)| t.0).collect();
+        assert_eq!(
+            clocks,
+            [
+                4_881_361, 4_512_092, 4_882_596, 5_144_936, 5_104_556, 4_917_878, 4_928_146,
+                5_447_770, 5_333_882
+            ]
+        );
     }
 
     #[test]

@@ -40,32 +40,39 @@ pub fn reset_copied_bytes() {
 
 /// An immutable, cheaply clone-able window into a shared byte buffer.
 ///
-/// Backed by `Arc<Vec<u8>>` plus an `(offset, len)` window, so
-/// [`Bytes::slice`] and `Clone` never touch the payload. `Deref` to
-/// `[u8]` makes every read-only `&[u8]` API accept a `&Bytes` via
-/// coercion.
-#[derive(Clone)]
+/// A non-empty `Bytes` is an `Arc<Vec<u8>>` plus an `(offset, len)`
+/// window, so [`Bytes::slice`] and `Clone` never touch the payload. An
+/// empty `Bytes` owns no heap allocation at all (`buf` is `None`), so
+/// the empty slots of a P×P exchange cost nothing to create, clone or
+/// drop. `Deref` to `[u8]` makes every read-only `&[u8]` API accept a
+/// `&Bytes` via coercion.
+#[derive(Clone, Default)]
 pub struct Bytes {
-    buf: Arc<Vec<u8>>,
+    /// `None` exactly when `len == 0`.
+    buf: Option<Arc<Vec<u8>>>,
     off: usize,
     len: usize,
 }
 
 impl Bytes {
-    /// An empty buffer (no allocation of payload).
-    pub fn new() -> Bytes {
+    /// An empty buffer; owns no heap allocation.
+    pub const fn new() -> Bytes {
         Bytes {
-            buf: Arc::new(Vec::new()),
+            buf: None,
             off: 0,
             len: 0,
         }
     }
 
-    /// Wrap an owned vector without copying.
+    /// Wrap an owned vector without copying. An empty vector is dropped
+    /// and gives [`Bytes::new`].
     pub fn from_vec(v: Vec<u8>) -> Bytes {
+        if v.is_empty() {
+            return Bytes::new();
+        }
         let len = v.len();
         Bytes {
-            buf: Arc::new(v),
+            buf: Some(Arc::new(v)),
             off: 0,
             len,
         }
@@ -86,43 +93,45 @@ impl Bytes {
         self.len == 0
     }
 
-    /// A zero-copy sub-window. Panics if the range is out of bounds.
+    /// A zero-copy sub-window. Panics if the range is out of bounds. An
+    /// empty range gives [`Bytes::new`], holding no reference to `self`.
     pub fn slice(&self, r: Range<usize>) -> Bytes {
         assert!(r.start <= r.end && r.end <= self.len, "slice out of range");
+        if r.start == r.end {
+            return Bytes::new();
+        }
         Bytes {
-            buf: Arc::clone(&self.buf),
+            buf: self.buf.clone(),
             off: self.off + r.start,
             len: r.end - r.start,
         }
     }
 
     /// Recover an owned `Vec<u8>`. Zero-copy when this handle is the
-    /// only owner and spans the whole buffer; otherwise a counted copy.
+    /// only owner and spans the whole buffer (or is empty); otherwise a
+    /// counted copy.
     pub fn into_vec(self) -> Vec<u8> {
-        if self.off == 0 && self.len == self.buf.len() {
-            match Arc::try_unwrap(self.buf) {
+        let Some(mut buf) = self.buf else {
+            return Vec::new();
+        };
+        if self.off == 0 && self.len == buf.len() {
+            match Arc::try_unwrap(buf) {
                 Ok(v) => return v,
-                Err(buf) => {
-                    count_copy(self.len);
-                    return buf[self.off..self.off + self.len].to_vec();
-                }
+                Err(shared) => buf = shared,
             }
         }
         count_copy(self.len);
-        self.buf[self.off..self.off + self.len].to_vec()
-    }
-}
-
-impl Default for Bytes {
-    fn default() -> Bytes {
-        Bytes::new()
+        buf[self.off..self.off + self.len].to_vec()
     }
 }
 
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.buf[self.off..self.off + self.len]
+        match &self.buf {
+            Some(buf) => &buf[self.off..self.off + self.len],
+            None => &[],
+        }
     }
 }
 
@@ -197,6 +206,15 @@ impl<const N: usize> PartialEq<&[u8; N]> for Bytes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// Serializes the tests that read the process-global copy ledger, so
+    /// a parallel test's counted copy cannot land inside their window.
+    static LEDGER: Mutex<()> = Mutex::new(());
+
+    fn ledger() -> std::sync::MutexGuard<'static, ()> {
+        LEDGER.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn slice_is_zero_copy_and_window_is_correct() {
@@ -211,6 +229,7 @@ mod tests {
 
     #[test]
     fn from_vec_and_unique_into_vec_do_not_count() {
+        let _ledger = ledger();
         let before = copied_bytes();
         let b = Bytes::from_vec(vec![1, 2, 3]);
         let v = b.into_vec();
@@ -220,6 +239,7 @@ mod tests {
 
     #[test]
     fn copy_constructors_count() {
+        let _ledger = ledger();
         let before = copied_bytes();
         let b = Bytes::copy_from_slice(&[0u8; 100]);
         assert_eq!(copied_bytes() - before, 100);
@@ -238,6 +258,35 @@ mod tests {
         assert_eq!(b, b"payload".to_vec());
         assert_eq!(b.slice(0..3), b"pay");
         assert_ne!(b, b"other..");
+        assert_eq!(Bytes::new(), b"");
+        assert_eq!(Bytes::new(), Vec::<u8>::new());
+        assert_ne!(Bytes::new(), b"x");
+    }
+
+    #[test]
+    fn empty_constructors_agree_and_hold_nothing() {
+        let _ledger = ledger();
+        let before = copied_bytes();
+        for b in [Bytes::new(), Bytes::default(), Bytes::from_vec(vec![])] {
+            assert!(b.buf.is_none());
+            assert!(b.is_empty());
+            assert_eq!(b, Bytes::new());
+            assert_eq!(&b[..], &[] as &[u8]);
+            assert_eq!(b.into_vec(), Vec::<u8>::new());
+        }
+        assert_eq!(copied_bytes(), before);
+    }
+
+    #[test]
+    fn empty_slices() {
+        assert!(Bytes::new().slice(0..0).is_empty());
+        let b = Bytes::from_vec(vec![1, 2, 3]);
+        for n in 0..=3 {
+            let s = b.slice(n..n);
+            assert!(s.buf.is_none(), "slice({n}..{n}) kept a reference");
+            assert_eq!(s, b"");
+        }
+        assert_eq!(b, b"\x01\x02\x03");
     }
 
     #[test]

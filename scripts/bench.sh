@@ -11,8 +11,9 @@
 #   scripts/bench.sh                  # full matrix + rank sweep
 #                                     #   -> BENCH_selfbench.json
 #   scripts/bench.sh --smoke          # 3-cell smoke subset (no sweep)
-#   scripts/bench.sh --scale-smoke    # one 256-rank cell vs an absolute
-#                                     #   wall-clock budget (CI scaling gate)
+#   scripts/bench.sh --scale-smoke    # 16- and 256-rank cells: absolute
+#                                     #   budget + host us/op ratio (CI
+#                                     #   scaling gate)
 #   scripts/bench.sh --embed-before OLD.json
 #                                     # splice a previous run under "before"
 #                                     # for a before/after comparison file

@@ -44,7 +44,7 @@ awk -v b="$baseline" -v c="$current" 'BEGIN {
   }
 }'
 
-echo "== selfbench scale smoke (256-rank cell vs absolute executor-scaling budget)"
+echo "== selfbench scale smoke (256-rank cell vs absolute budget; host us/op 256 vs 16 ranks <= 2.2x)"
 cargo run --release -q -p amrio-bench --bin selfbench -- --scale-smoke
 
 echo "== loadgen smoke (serve cache: hot >= 20x cold rps, hot p99 budget, zero digest mismatches, coalescing proof)"
